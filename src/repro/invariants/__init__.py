@@ -8,6 +8,8 @@ abstract interpretation on a polyhedra-lite domain:
 - :class:`~repro.invariants.polyhedron.Polyhedron` — conjunctions of
   :class:`~repro.ts.guards.LinIneq` with exact LP-based entailment,
   meet, weak join, widening and Fourier-Motzkin projection;
+- :mod:`~repro.invariants.kernel` — the exact integer dual simplex that
+  answers every LP the domain asks;
 - :mod:`~repro.invariants.intervals` — interval arithmetic used to bound
   non-affine (polynomial) updates;
 - :mod:`~repro.invariants.engine` — the worklist fixpoint with delayed

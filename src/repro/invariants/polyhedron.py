@@ -1,10 +1,20 @@
 """A polyhedra-lite abstract domain: conjunctions of affine inequalities.
 
-Operations are implemented with exact rational LPs
-(:class:`~repro.lp.revised.RevisedSimplexBackend`), so the domain is
-sound by construction — no floating-point tolerance enters invariant
-generation.  The join is the *weak join* (mutual entailment filter),
-which over-approximates the convex hull; widening is the standard
+Every semantic query — emptiness, an affine minimum, an entailment, the
+redundancy test of :meth:`Polyhedron.reduce` — is one LP answered by the
+exact integer dual simplex of :mod:`repro.invariants.kernel`, fed the
+polyhedron's coprime integer rows (built once per immutable polyhedron).
+Verdicts are exact sign tests, with no floating-point solver and no
+tolerance anywhere in invariant generation:
+
+- empty ⇔ the LP is infeasible;
+- ``P`` entails ``e >= 0`` ⇔ ``P`` is empty or ``min_P e >= 0``;
+- a row ``e >= 0`` is pruned as redundant w.r.t. the other rows ``R``
+  ⇔ ``R`` is empty or ``min_R e > 0`` (keeping rows that are tight at
+  zero).
+
+The join is the *weak join* (mutual entailment filter), which
+over-approximates the convex hull; widening is the standard
 constraint-dropping widening.  Existential projection uses
 Fourier-Motzkin elimination with eager redundancy pruning.
 """
@@ -14,25 +24,14 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from repro.invariants import kernel
 from repro.invariants.intervals import Interval, polynomial_range
-from repro.lp.model import LPModel
-from repro.lp.scipy_backend import ScipyBackend
-from repro.lp.revised import RevisedSimplexBackend
-from repro.lp.solution import LPStatus
+from repro.poly.linexpr import AffineExpr
 from repro.poly.polynomial import Polynomial
 from repro.ts.guards import LinIneq
 from repro.ts.system import COST_VAR, NondetUpdate, Transition
 
-_SOLVER = RevisedSimplexBackend()
-_FLOAT_SOLVER = ScipyBackend()
 _POST_SUFFIX = "!post"
-
-# Hybrid solving: HiGHS answers the (tiny) entailment/emptiness LPs fast;
-# verdicts within _MARGIN of the decision boundary — and every verdict
-# whose error would make the abstract domain *unsound* (claimed
-# entailment, claimed emptiness) that is not clear-cut — are re-decided
-# with the exact rational simplex.
-_MARGIN = 1e-6
 
 # Memo tables (polyhedra are immutable value objects, so results are
 # shared freely across instances with equal constraint sets).
@@ -44,7 +43,7 @@ _CACHE_LIMIT = 200_000
 class Polyhedron:
     """An immutable conjunction of :class:`LinIneq` (or bottom)."""
 
-    __slots__ = ("_ineqs", "_bottom")
+    __slots__ = ("_ineqs", "_bottom", "_rows")
 
     def __init__(self, ineqs: Iterable[LinIneq] = (), bottom: bool = False):
         normalized: list[LinIneq] = []
@@ -60,6 +59,7 @@ class Polyhedron:
             normalized.append(canonical)
         self._bottom = bottom
         self._ineqs: tuple[LinIneq, ...] = () if bottom else tuple(normalized)
+        self._rows = None
 
     # -- constructors ---------------------------------------------------
 
@@ -104,20 +104,43 @@ class Polyhedron:
 
     # -- LP-backed queries ------------------------------------------------
 
-    def _feasibility_model(self) -> LPModel:
-        model = LPModel()
-        for ineq in self._ineqs:
-            model.add_inequality(ineq.expr)
-        return model
+    def _system(self) -> tuple[dict[str, int], list[list[int]], list[int]]:
+        """The rows as the kernel consumes them: a column index per
+        variable, integer coefficient rows and integer offsets.  Rows are
+        canonical (coprime integers), so this is exact; it is built once
+        per polyhedron."""
+        if self._rows is None:
+            index = {name: k for k, name in enumerate(sorted(self.variables))}
+            rows: list[list[int]] = []
+            offsets: list[int] = []
+            for ineq in self._ineqs:
+                row = [0] * len(index)
+                for name, coeff in ineq.expr.coefficients():
+                    row[index[name]] = coeff.numerator
+                rows.append(row)
+                offsets.append(ineq.expr.constant_term.numerator)
+            self._rows = (index, rows, offsets)
+        return self._rows
+
+    def _minimum(self, expr: AffineExpr) -> tuple[str, Fraction | None]:
+        """Kernel status and exact minimum of ``expr`` over the
+        polyhedron."""
+        index, rows, offsets = self._system()
+        objective = [0] * len(index)
+        for name, coeff in expr.coefficients():
+            if name not in index:
+                # An unconstrained variable: unbounded unless empty.
+                if self.is_empty():
+                    return kernel.INFEASIBLE, None
+                return kernel.UNBOUNDED, None
+            objective[index[name]] = coeff
+        result = kernel.minimize(rows, offsets, objective)
+        if result.status != kernel.OPTIMAL:
+            return result.status, None
+        return result.status, result.value + expr.constant_term
 
     def is_empty(self) -> bool:
-        """Semantic emptiness (hybrid float/exact feasibility LP).
-
-        A "feasible" float verdict is accepted (erring on the sound,
-        larger-polyhedron side); an "infeasible" verdict is confirmed by
-        the exact simplex before bottom is reported, because wrongly
-        declaring emptiness would make the abstract domain unsound.
-        """
+        """Semantic emptiness: the kernel proves the rows infeasible."""
         if self._bottom:
             return True
         if not self._ineqs:
@@ -126,40 +149,29 @@ class Polyhedron:
         cached = _EMPTY_CACHE.get(key)
         if cached is not None:
             return cached
-        float_solution = _FLOAT_SOLVER.solve(self._feasibility_model())
-        if float_solution.status is LPStatus.INFEASIBLE:
-            exact = _SOLVER.solve(self._feasibility_model())
-            result = exact.status is LPStatus.INFEASIBLE
-        else:
-            result = False
+        result = self._minimum(AffineExpr.zero())[0] == kernel.INFEASIBLE
         if len(_EMPTY_CACHE) < _CACHE_LIMIT:
             _EMPTY_CACHE[key] = result  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
         return result
 
-    def minimize(self, expr) -> Fraction | None:
+    def minimize(self, expr: AffineExpr) -> Fraction | None:
         """Exact minimum of an affine expression over the polyhedron.
 
-        Returns ``None`` when unbounded below; raises nothing on bottom
-        (callers should check).  ``expr`` is an
-        :class:`~repro.poly.linexpr.AffineExpr`.
+        Returns ``None`` when unbounded below and raises ``ValueError``
+        on an empty polyhedron.
         """
-        model = self._feasibility_model()
-        model.minimize(expr)
-        solution = _SOLVER.solve(model)
-        if solution.status is LPStatus.UNBOUNDED:
-            return None
-        if solution.status is LPStatus.INFEASIBLE:
+        if self._bottom:
             raise ValueError("minimize called on an empty polyhedron")
-        return solution.objective_value
+        status, value = self._minimum(expr)
+        if status == kernel.INFEASIBLE:
+            raise ValueError("minimize called on an empty polyhedron")
+        return value
 
     def entails(self, ineq: LinIneq) -> bool:
         """Does every point of the polyhedron satisfy ``ineq``?
 
-        Hybrid: a clearly positive float minimum accepts entailment, a
-        clearly negative one rejects it; borderline values (and the
-        degenerate solver statuses) fall back to the exact simplex.
-        Positive verdicts are the soundness-critical direction, so the
-        acceptance margin is applied to them as well.
+        Exactly when the polyhedron is empty or the minimum of
+        ``ineq``'s expression over it is nonnegative.
         """
         if self._bottom:
             return True
@@ -174,49 +186,21 @@ class Polyhedron:
         cached = _ENTAILS_CACHE.get(key)
         if cached is not None:
             return cached
-        result = self._entails_uncached(ineq)
+        status, value = self._minimum(canonical.expr)
+        result = status == kernel.INFEASIBLE or (
+            status == kernel.OPTIMAL and value >= 0
+        )
         if len(_ENTAILS_CACHE) < _CACHE_LIMIT:
             _ENTAILS_CACHE[key] = result  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
         return result
 
-    def _entails_uncached(self, ineq: LinIneq) -> bool:
-        model = self._feasibility_model()
-        model.minimize(ineq.expr)
-        float_solution = _FLOAT_SOLVER.solve(model)
-        if float_solution.status is LPStatus.OPTIMAL:
-            value = float(float_solution.objective_value)
-            scale = 1.0 + abs(value)
-            if value >= _MARGIN * scale:
-                # Clear-cut positive: accepted without exact replay.  On
-                # these tiny LPs HiGHS is accurate to ~1e-9, far inside
-                # the margin; end-to-end soundness is additionally
-                # monitored by the run-based certificate checker.
-                return True
-            if value <= -_MARGIN * scale:
-                return False
-        elif float_solution.status is LPStatus.UNBOUNDED:
-            return False
-        return self._entails_exact(ineq)
-
-    def _entails_exact(self, ineq: LinIneq) -> bool:
-        """Exact decision with the rational simplex (borderline cases)."""
-        model = self._feasibility_model()
-        model.minimize(ineq.expr)
-        solution = _SOLVER.solve(model)
-        if solution.status is LPStatus.INFEASIBLE:
-            return True
-        if solution.status is LPStatus.UNBOUNDED:
-            return False
-        return solution.objective_value >= 0
-
     def _entails_for_pruning(self, ineq: LinIneq) -> bool:
-        """Float-only entailment used by redundancy *pruning*.
+        """Redundancy test used by :meth:`reduce`: the polyhedron is
+        empty or ``ineq``'s minimum over it is strictly positive.
 
-        Dropping a constraint always enlarges the polyhedron, so a wrong
-        "entailed" verdict here costs precision, never soundness; an
-        ambiguous verdict defaults to "not entailed" (keep).  This
-        avoids the exact simplex entirely on the hot Fourier-Motzkin
-        pruning path.
+        A row whose minimum over the others is exactly zero is kept;
+        the Table 1 invariant maps pinned by the golden test depend on
+        this strict rule.
         """
         if self._bottom:
             return True
@@ -227,15 +211,10 @@ class Polyhedron:
             return False
         if canonical in self._ineqs:
             return True
-        model = self._feasibility_model()
-        model.minimize(ineq.expr)
-        solution = _FLOAT_SOLVER.solve(model)
-        if solution.status is LPStatus.INFEASIBLE:
-            return True
-        if solution.status is not LPStatus.OPTIMAL:
-            return False
-        value = float(solution.objective_value)
-        return value >= _MARGIN * (1.0 + abs(value))
+        status, value = self._minimum(canonical.expr)
+        return status == kernel.INFEASIBLE or (
+            status == kernel.OPTIMAL and value > 0
+        )
 
     def entails_all(self, other: "Polyhedron") -> bool:
         """Inclusion check ``self ⊆ other``."""
@@ -249,8 +228,6 @@ class Polyhedron:
         """Exact interval bounds of ``var`` over the polyhedron."""
         if self._bottom:
             return Interval.point(0)
-        from repro.poly.linexpr import AffineExpr
-
         expr = AffineExpr.variable(var)
         lower = self.minimize(expr)
         negated_upper = self.minimize(-expr)
@@ -311,9 +288,9 @@ class Polyhedron:
     def reduce(self) -> "Polyhedron":
         """Remove redundant constraints; detect emptiness.
 
-        Purely a pruning operation (the result is never smaller than
-        the input as a set of points), so the float-only entailment is
-        used throughout.
+        Each row is dropped when the rows still kept entail it strictly
+        (see :meth:`_entails_for_pruning`), so the result describes the
+        same set of points.
         """
         if self._bottom:
             return self

@@ -13,6 +13,7 @@ normalize exactly: ``a < b`` becomes ``b - a - 1 >= 0``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping
 
 from repro.errors import PolynomialError
@@ -29,10 +30,14 @@ class LinIneq:
     '-x + 9 >= 0'
     """
 
-    __slots__ = ("_expr",)
+    __slots__ = ("_expr", "_canonical")
 
     def __init__(self, expr: AffineExpr):
         self._expr = expr
+        # Set by normalize() on rows known to be in canonical form, so
+        # re-normalizing them (the common case in the invariant domain,
+        # which copies canonical rows between polyhedra) is free.
+        self._canonical = False
 
     # -- constructors ---------------------------------------------------
 
@@ -129,27 +134,27 @@ class LinIneq:
         Useful for deduplication in invariants: ``2x - 4 >= 0`` and
         ``x - 2 >= 0`` normalize identically.
         """
+        if self._canonical:
+            return self
         coeffs = [coeff for _, coeff in self._expr.coefficients()]
         coeffs.append(self._expr.constant_term)
         nonzero = [c for c in coeffs if c != 0]
-        if not nonzero:
-            return self
-        from math import gcd
-
         denominator_lcm = 1
         for c in nonzero:
             denominator_lcm = denominator_lcm * c.denominator // gcd(
                 denominator_lcm, c.denominator
             )
-        scaled = self._expr.scale(denominator_lcm)
-        numerators = [coeff.numerator for _, coeff in scaled.coefficients()]
-        numerators.append(scaled.constant_term.numerator)
         divisor = 0
-        for n in numerators:
-            divisor = gcd(divisor, abs(n))
-        if divisor > 1:
-            scaled = scaled.scale(Fraction(1, divisor))
-        return LinIneq(scaled)
+        for c in nonzero:
+            divisor = gcd(divisor, abs(c.numerator * denominator_lcm
+                                       // c.denominator))
+        if denominator_lcm == 1 and divisor <= 1:
+            self._canonical = True
+            return self
+        canonical = LinIneq(self._expr.scale(Fraction(denominator_lcm,
+                                                      divisor)))
+        canonical._canonical = True
+        return canonical
 
     # -- dunder plumbing --------------------------------------------------
 

@@ -78,6 +78,35 @@ class TestQueries:
         ) == Fraction(2)
 
 
+class TestExactDecisions:
+    """Verdicts near the decision boundary are exact sign tests."""
+
+    def test_tiny_positive_minimum_is_entailed_and_pruned(self):
+        # x >= 1/10^7 forces x > 0 by a margin no float tolerance sees.
+        tiny = LinIneq.geq(10**7 * X, 1)
+        assert Polyhedron([tiny]).entails(LinIneq.geq(X, 0))
+        reduced = Polyhedron([tiny, LinIneq.geq(X, 0)]).reduce()
+        assert reduced.ineqs == (tiny.normalize(),)
+
+    def test_tiny_negative_minimum_is_not_entailed(self):
+        polyhedron = Polyhedron([LinIneq.geq(10**7 * X, -1)])
+        assert not polyhedron.entails(LinIneq.geq(X, 0))
+        assert polyhedron.minimize(LinIneq.geq(X, 0).expr) \
+            == Fraction(-1, 10**7)
+
+    def test_zero_minimum_is_entailed_but_kept_by_reduce(self):
+        rows = [LinIneq.geq(X, Y), LinIneq.geq(Y, 0), LinIneq.geq(X, 0)]
+        assert Polyhedron(rows[:2]).entails(rows[2])
+        assert len(Polyhedron(rows).reduce().ineqs) == 3
+
+    def test_unconstrained_variable(self):
+        polyhedron = poly_box(x=(0, 1))
+        assert not polyhedron.entails(LinIneq.geq(Y, 0))
+        assert polyhedron.minimize(LinIneq.geq(Y, 0).expr) is None
+        empty = Polyhedron([LinIneq.geq(X, 1), LinIneq.leq(X, 0)])
+        assert empty.entails(LinIneq.geq(Y, 0))
+
+
 class TestLattice:
     def test_meet(self):
         met = poly_box(x=(0, 10)).meet(poly_box(x=(5, 20)).ineqs)
