@@ -16,7 +16,14 @@ tolerance anywhere in invariant generation:
 The join is the *weak join* (mutual entailment filter), which
 over-approximates the convex hull; widening is the standard
 constraint-dropping widening.  Existential projection uses
-Fourier-Motzkin elimination with eager redundancy pruning.
+Fourier-Motzkin elimination on the rows' coprime integer coefficients:
+each resolvent is an integer multiply-add of two rows divided by the
+gcd of its entries, built as a canonical :class:`LinIneq` once.
+:meth:`Polyhedron.reduce` builds the polyhedron's integer system once
+and asks the kernel about each candidate row over the indices of the
+rows still kept.  Each polyhedron also carries a lazily built
+``frozenset`` of its rows, which answers membership tests and keys the
+memo tables.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ _CACHE_LIMIT = 200_000
 class Polyhedron:
     """An immutable conjunction of :class:`LinIneq` (or bottom)."""
 
-    __slots__ = ("_ineqs", "_bottom", "_rows")
+    __slots__ = ("_ineqs", "_bottom", "_rows", "_rowset")
 
     def __init__(self, ineqs: Iterable[LinIneq] = (), bottom: bool = False):
         normalized: list[LinIneq] = []
@@ -60,6 +67,7 @@ class Polyhedron:
         self._bottom = bottom
         self._ineqs: tuple[LinIneq, ...] = () if bottom else tuple(normalized)
         self._rows = None
+        self._rowset: frozenset[LinIneq] | None = None
 
     # -- constructors ---------------------------------------------------
 
@@ -95,6 +103,12 @@ class Polyhedron:
         for ineq in self._ineqs:
             names.update(ineq.variables)
         return frozenset(names)
+
+    def _row_set(self) -> frozenset[LinIneq]:
+        """The rows as a set, built once per polyhedron."""
+        if self._rowset is None:
+            self._rowset = frozenset(self._ineqs)
+        return self._rowset
 
     def contains_point(self, valuation: Mapping[str, int]) -> bool:
         """Membership test for a concrete valuation."""
@@ -145,7 +159,7 @@ class Polyhedron:
             return True
         if not self._ineqs:
             return False
-        key = frozenset(self._ineqs)
+        key = self._row_set()
         cached = _EMPTY_CACHE.get(key)
         if cached is not None:
             return cached
@@ -180,9 +194,10 @@ class Polyhedron:
             return True
         if not self._ineqs:
             return False
-        if canonical in self._ineqs:
+        rowset = self._row_set()
+        if canonical in rowset:
             return True
-        key = (frozenset(self._ineqs), canonical)
+        key = (rowset, canonical)
         cached = _ENTAILS_CACHE.get(key)
         if cached is not None:
             return cached
@@ -193,28 +208,6 @@ class Polyhedron:
         if len(_ENTAILS_CACHE) < _CACHE_LIMIT:
             _ENTAILS_CACHE[key] = result  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
         return result
-
-    def _entails_for_pruning(self, ineq: LinIneq) -> bool:
-        """Redundancy test used by :meth:`reduce`: the polyhedron is
-        empty or ``ineq``'s minimum over it is strictly positive.
-
-        A row whose minimum over the others is exactly zero is kept;
-        the Table 1 invariant maps pinned by the golden test depend on
-        this strict rule.
-        """
-        if self._bottom:
-            return True
-        canonical = ineq.normalize()
-        if canonical.is_trivial():
-            return True
-        if not self._ineqs:
-            return False
-        if canonical in self._ineqs:
-            return True
-        status, value = self._minimum(canonical.expr)
-        return status == kernel.INFEASIBLE or (
-            status == kernel.OPTIMAL and value > 0
-        )
 
     def entails_all(self, other: "Polyhedron") -> bool:
         """Inclusion check ``self ⊆ other``."""
@@ -288,24 +281,28 @@ class Polyhedron:
     def reduce(self) -> "Polyhedron":
         """Remove redundant constraints; detect emptiness.
 
-        Each row is dropped when the rows still kept entail it strictly
-        (see :meth:`_entails_for_pruning`), so the result describes the
-        same set of points.
+        Rows are visited in order; a row is dropped when the rows still
+        kept, ``R``, entail it strictly: ``R`` is empty or the row's
+        minimum over ``R`` is positive.  A row whose minimum is exactly
+        zero is kept, as is a row with no other row left (the Table 1
+        invariant maps pinned by the golden test depend on this strict
+        rule).  The result describes the same set of points.
         """
         if self._bottom:
             return self
         if self.is_empty():
             return Polyhedron.bottom()
-        kept: list[LinIneq] = list(self._ineqs)
-        index = 0
-        while index < len(kept):
-            candidate = kept[index]
-            rest = Polyhedron(kept[:index] + kept[index + 1:])
-            if rest._entails_for_pruning(candidate):
-                kept.pop(index)
+        _, rows, offsets = self._system()
+        kept = list(range(len(rows)))
+        position = 0
+        while position < len(kept):
+            candidate = kept[position]
+            rest = kept[:position] + kept[position + 1:]
+            if rest and _redundant(rows, offsets, rest, candidate):
+                kept.pop(position)
             else:
-                index += 1
-        return Polyhedron(kept)
+                position += 1
+        return Polyhedron(self._ineqs[k] for k in kept)
 
     # -- projection -------------------------------------------------------------
 
@@ -313,24 +310,27 @@ class Polyhedron:
                     max_constraints: int = 64) -> "Polyhedron":
         """Existentially quantify ``variables`` via Fourier-Motzkin.
 
-        After each elimination the constraint set is pruned; if it still
-        exceeds ``max_constraints``, the loosest constraints are dropped
-        (sound: dropping constraints only enlarges the polyhedron).
+        Whenever an elimination leaves more than ``max_constraints``
+        rows, they are pruned with :meth:`reduce`; if still too many,
+        only the first ``max_constraints`` rows are kept (sound:
+        dropping constraints only enlarges the polyhedron).
         """
         if self._bottom:
             return self
         current = list(self._ineqs)
         remaining = list(variables)
         while remaining:
+            rows = [_integer_row(ineq) for ineq in current]
+
             # Pick the variable with the fewest pairings to limit growth.
             def elimination_size(var: str) -> int:
-                pos = sum(1 for i in current if i.expr.coefficient(var) > 0)
-                neg = sum(1 for i in current if i.expr.coefficient(var) < 0)
+                pos = sum(1 for _, coeffs, _ in rows if coeffs.get(var, 0) > 0)
+                neg = sum(1 for _, coeffs, _ in rows if coeffs.get(var, 0) < 0)
                 return pos * neg
 
             remaining.sort(key=elimination_size)
             var = remaining.pop(0)
-            current = _eliminate(current, var)
+            current = _eliminate(rows, var)
             if len(current) > max_constraints:
                 reduced = Polyhedron(current).reduce()
                 current = list(reduced.ineqs)
@@ -403,10 +403,10 @@ class Polyhedron:
             return NotImplemented
         if self._bottom or other._bottom:
             return self._bottom == other._bottom
-        return set(self._ineqs) == set(other._ineqs)
+        return self._row_set() == other._row_set()
 
     def __hash__(self) -> int:
-        return hash((self._bottom, frozenset(self._ineqs)))
+        return hash((self._bottom, self._row_set()))
 
     def __str__(self) -> str:
         if self._bottom:
@@ -419,25 +419,48 @@ class Polyhedron:
         return f"Polyhedron({str(self)!r})"
 
 
-def _eliminate(ineqs: list[LinIneq], var: str) -> list[LinIneq]:
-    """One Fourier-Motzkin elimination step."""
+#: A canonical row with its coprime integer coefficients and constant.
+_IntegerRow = tuple[LinIneq, dict[str, int], int]
+
+
+def _integer_row(ineq: LinIneq) -> _IntegerRow:
+    """``ineq`` (canonical) with its integer coefficients and constant."""
+    expr = ineq.expr
+    coeffs = {name: coeff.numerator for name, coeff in expr.coefficients()}
+    return ineq, coeffs, expr.constant_term.numerator
+
+
+def _eliminate(rows: Sequence[_IntegerRow], var: str) -> list[LinIneq]:
+    """One Fourier-Motzkin elimination step over canonical integer rows.
+
+    Rows free of ``var`` come first, then one resolvent per (positive,
+    negative) pair in order: ``pos·(-a_neg) + neg·a_pos`` computed on
+    integers and divided by the gcd of its entries, i.e. the canonical
+    form of the combination.  Trivial rows and repeats are dropped.
+    """
     free: list[LinIneq] = []
-    positive: list[LinIneq] = []
-    negative: list[LinIneq] = []
-    for ineq in ineqs:
-        coefficient = ineq.expr.coefficient(var)
+    positive: list[_IntegerRow] = []
+    negative: list[_IntegerRow] = []
+    for row in rows:
+        coefficient = row[1].get(var, 0)
         if coefficient > 0:
-            positive.append(ineq)
+            positive.append(row)
         elif coefficient < 0:
-            negative.append(ineq)
+            negative.append(row)
         else:
-            free.append(ineq)
-    for pos in positive:
-        a_pos = pos.expr.coefficient(var)
-        for neg in negative:
-            a_neg = neg.expr.coefficient(var)
-            combined = pos.expr.scale(-a_neg) + neg.expr.scale(a_pos)
-            free.append(LinIneq(combined).normalize())
+            free.append(row[0])
+    for _, pos_coeffs, pos_constant in positive:
+        a_pos = pos_coeffs[var]
+        for _, neg_coeffs, neg_constant in negative:
+            factor = -neg_coeffs[var]
+            combined = {name: coeff * factor
+                        for name, coeff in pos_coeffs.items() if name != var}
+            for name, coeff in neg_coeffs.items():
+                if name != var:
+                    combined[name] = combined.get(name, 0) + coeff * a_pos
+            free.append(LinIneq.from_integer_row(
+                combined, pos_constant * factor + neg_constant * a_pos
+            ))
     # Drop syntactic duplicates and trivia.
     result: list[LinIneq] = []
     seen: set[LinIneq] = set()
@@ -447,3 +470,16 @@ def _eliminate(ineqs: list[LinIneq], var: str) -> list[LinIneq]:
         seen.add(ineq)
         result.append(ineq)
     return result
+
+
+def _redundant(rows: Sequence[Sequence[int]], offsets: Sequence[int],
+               rest: Sequence[int], candidate: int) -> bool:
+    """The pruning rule of :meth:`Polyhedron.reduce`: the rows indexed
+    by ``rest`` are empty or the candidate row's minimum over them is
+    strictly positive."""
+    result = kernel.minimize([rows[k] for k in rest],
+                             [offsets[k] for k in rest], rows[candidate])
+    return result.status == kernel.INFEASIBLE or (
+        result.status == kernel.OPTIMAL
+        and result.value + offsets[candidate] > 0
+    )

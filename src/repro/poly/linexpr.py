@@ -14,7 +14,7 @@ Both roles need exactly the same arithmetic, so one class serves both.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import PolynomialError
 from repro.poly.monomial import Monomial
@@ -76,6 +76,25 @@ class AffineExpr:
             else:
                 (var,) = mono.variables
                 coeffs[var] = coeff
+        return AffineExpr(coeffs, constant)
+
+    @staticmethod
+    def combination(terms: Iterable[tuple["AffineExpr", Fraction]]
+                    ) -> "AffineExpr":
+        """``Σ factor·expr`` over ``(expr, factor)`` pairs, accumulated in
+        one map and built once (no intermediate expressions).
+
+        >>> x, y = AffineExpr.variable("x"), AffineExpr.variable("y")
+        >>> terms = [(x + 1, Fraction(2)), (y - x, Fraction(3))]
+        >>> str(AffineExpr.combination(terms))
+        '-x + 3*y + 2'
+        """
+        coeffs: dict[str, Fraction] = {}
+        constant = Fraction(0)
+        for expr, factor in terms:
+            for name, coeff in expr._coeffs:
+                coeffs[name] = coeffs.get(name, 0) + coeff * factor
+            constant += expr._constant * factor
         return AffineExpr(coeffs, constant)
 
     # -- inspection -----------------------------------------------------

@@ -155,19 +155,6 @@ class TemplatePolynomial:
             {mono: expr.scale(frac) for mono, expr in self._terms}
         )
 
-    def multiply_polynomial(self, poly: Polynomial) -> "TemplatePolynomial":
-        """Multiply by a concrete polynomial (stays linear in symbols)."""
-        terms: dict[Monomial, AffineExpr] = {}
-        for mono_t, expr in self._terms:
-            for mono_p, coeff in poly.terms():
-                product = mono_t * mono_p
-                scaled = expr.scale(coeff)
-                if product in terms:
-                    terms[product] = terms[product] + scaled
-                else:
-                    terms[product] = scaled
-        return TemplatePolynomial(terms)
-
     # -- substitution and instantiation -----------------------------------
 
     def substitute(self, mapping: Mapping[str, Polynomial]) -> "TemplatePolynomial":
@@ -177,16 +164,17 @@ class TemplatePolynomial:
         expanded under the update and its symbolic coefficient is
         distributed over the expansion.  Template symbols are untouched.
         """
-        result = TemplatePolynomial.zero()
+        parts: dict[Monomial, list[tuple[AffineExpr, Fraction]]] = {}
         for mono, expr in self._terms:
             expansion = Polynomial.constant(1)
             for var, exp in mono.items():
                 replacement = mapping.get(var, Polynomial.variable(var))
                 expansion = expansion * replacement**exp
-            result = result + TemplatePolynomial(
-                {m: expr.scale(c) for m, c in expansion.terms()}
-            )
-        return result
+            for m, c in expansion.terms():
+                parts.setdefault(m, []).append((expr, c))
+        return TemplatePolynomial(
+            {m: AffineExpr.combination(part) for m, part in parts.items()}
+        )
 
     def instantiate(self, assignment: Mapping[str, Numeric]) -> Polynomial:
         """Plug in values for all template symbols, yielding a concrete
@@ -201,10 +189,10 @@ class TemplatePolynomial:
     def evaluate_program_vars(self, valuation: Mapping[str, Numeric]) -> AffineExpr:
         """Evaluate the *program* variables, leaving an affine expression
         over the template symbols (used for initial-state constraints)."""
-        result = AffineExpr.zero()
-        for mono, expr in self._terms:
-            result = result + expr.scale(as_fraction(mono.evaluate(valuation)))
-        return result
+        return AffineExpr.combination(
+            (expr, as_fraction(mono.evaluate(valuation)))
+            for mono, expr in self._terms
+        )
 
     # -- dunder plumbing --------------------------------------------------
 

@@ -76,6 +76,25 @@ class LinIneq:
         """``lhs == rhs`` as a pair of opposite inequalities."""
         return (cls.geq(lhs, rhs), cls.leq(lhs, rhs))
 
+    @classmethod
+    def from_integer_row(cls, coeffs: Mapping[str, int],
+                         constant: int) -> "LinIneq":
+        """The canonical form of ``Σ coeffs·x + constant >= 0`` for
+        integer entries: divided by their gcd and built once.
+
+        Equal to ``LinIneq(AffineExpr(coeffs, constant)).normalize()``.
+
+        >>> str(LinIneq.from_integer_row({"x": 4, "y": 0}, -6))
+        '2*x - 3 >= 0'
+        """
+        divisor = gcd(constant, *coeffs.values())
+        if divisor > 1:
+            coeffs = {name: c // divisor for name, c in coeffs.items()}
+            constant //= divisor
+        canonical = cls(AffineExpr(coeffs, constant))
+        canonical._canonical = True
+        return canonical
+
     @staticmethod
     def always_true() -> "LinIneq":
         """The trivially satisfied inequality ``0 >= 0``."""

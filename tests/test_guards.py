@@ -95,3 +95,13 @@ def test_comparison_constructors_match_python(a, b, x):
     assert LinIneq.leq(lhs, 0).holds(point) == (a * x + b <= 0)
     assert LinIneq.less_than(lhs, 0).holds(point) == (a * x + b < 0)
     assert LinIneq.greater_than(lhs, 0).holds(point) == (a * x + b > 0)
+
+
+@given(st.dictionaries(st.sampled_from("wxyz"), st.integers(-12, 12)),
+       st.integers(-12, 12))
+def test_from_integer_row_is_the_normal_form(coeffs, constant):
+    built = LinIneq.from_integer_row(coeffs, constant)
+    expected = LinIneq(AffineExpr(coeffs, constant)).normalize()
+    assert built == expected
+    assert str(built) == str(expected)
+    assert built.normalize() is built

@@ -49,6 +49,14 @@ class TestAffineExprArithmetic:
     def test_negation(self):
         assert -(A - B) == B - A
 
+    def test_combination_equals_sum_of_scaled(self):
+        terms = [(A + 1, Fraction(2)), (B - A, Fraction(3)),
+                 (A - B, Fraction(3))]
+        assert AffineExpr.combination(terms) == A.scale(2) + 2
+        assert AffineExpr.combination([(A, Fraction(1)),
+                                       (A, Fraction(-1))]).is_zero()
+        assert AffineExpr.combination([]) == AffineExpr.zero()
+
 
 class TestAffineExprEvaluation:
     def test_evaluate(self):

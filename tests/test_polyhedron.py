@@ -1,10 +1,14 @@
 """Unit and property tests for the polyhedra-lite domain."""
 
+import itertools
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.invariants.polyhedron import Polyhedron
+from repro.invariants.polyhedron import Polyhedron, _eliminate, _integer_row
+from repro.poly.linexpr import AffineExpr
 from repro.poly.polynomial import Polynomial
 from repro.ts.guards import LinIneq, box
 from repro.ts.system import Transition, Location, NondetUpdate
@@ -249,3 +253,171 @@ def test_join_contains_both_operands(rows):
             point = {"x": x, "y": y}
             if a_side.contains_point(point) or b_side.contains_point(point):
                 assert joined.contains_point(point)
+
+
+# -- seeded differential tests of the integer-row operations ---------------
+#
+# Random canonical systems (1-4 variables, 0-12 rows, coefficients in
+# [-4, 4]) are built around an integer point of the box [-2, 2]^n, so
+# most are feasible; slack 0 makes a row tight at that point (its
+# minimum over the others is often exactly zero), and the population
+# also carries duplicated rows, scaled copies and contradictory pairs.
+# Fourier-Motzkin and reduce() are compared with oracles written the
+# way the domain used to compute them, on AffineExpr arithmetic and
+# one fresh Polyhedron per redundancy test.
+
+SYSTEM_SEED = 20261018
+NAMES = ("w", "x", "y", "z")
+
+
+def random_system(rng: random.Random) -> tuple[list[LinIneq], set[str]]:
+    names = NAMES[:rng.randint(1, 4)]
+    point = {name: rng.randint(-2, 2) for name in names}
+    rows: list[LinIneq] = []
+    tags: set[str] = set()
+    for _ in range(rng.randint(0, 12)):
+        if rows and rng.random() < 0.15:
+            tags.add("duplicate")
+            rows.append(LinIneq(rows[rng.randrange(len(rows))].expr
+                                .scale(rng.randint(1, 3))))
+            continue
+        coeffs = {name: rng.randint(-4, 4) for name in names}
+        slack = 0 if rng.random() < 0.4 else rng.randint(1, 5)
+        constant = slack - sum(coeffs[n] * point[n] for n in names)
+        rows.append(LinIneq(AffineExpr(coeffs, constant)))
+    if rows and rng.random() < 0.2:
+        tags.add("contradiction")
+        expr = rows[rng.randrange(len(rows))].expr
+        rows.append(LinIneq(-expr - rng.randint(1, 3)))
+    return [row.normalize() for row in rows], tags
+
+
+def systems(count: int, seed: int = SYSTEM_SEED):
+    rng = random.Random(seed)
+    return [random_system(rng) for _ in range(count)]
+
+
+def old_eliminate(ineqs: list[LinIneq], var: str) -> list[LinIneq]:
+    """Fourier-Motzkin as the domain used to compute it: scale, add and
+    normalize AffineExpr rows."""
+    free, positive, negative = [], [], []
+    for ineq in ineqs:
+        coefficient = ineq.expr.coefficient(var)
+        if coefficient > 0:
+            positive.append(ineq)
+        elif coefficient < 0:
+            negative.append(ineq)
+        else:
+            free.append(ineq)
+    for pos in positive:
+        a_pos = pos.expr.coefficient(var)
+        for neg in negative:
+            a_neg = neg.expr.coefficient(var)
+            combined = pos.expr.scale(-a_neg) + neg.expr.scale(a_pos)
+            free.append(LinIneq(combined).normalize())
+    result, seen = [], set()
+    for ineq in free:
+        if ineq.is_trivial() or ineq in seen:
+            continue
+        seen.add(ineq)
+        result.append(ineq)
+    return result
+
+
+def old_entails_for_pruning(polyhedron: Polyhedron, ineq: LinIneq) -> bool:
+    """The redundancy test reduce() used to ask of a rebuilt polyhedron."""
+    if polyhedron.is_bottom():
+        return True
+    canonical = ineq.normalize()
+    if canonical.is_trivial():
+        return True
+    if not polyhedron.ineqs:
+        return False
+    if canonical in polyhedron.ineqs:
+        return True
+    if polyhedron.is_empty():
+        return True
+    minimum = polyhedron.minimize(canonical.expr)
+    return minimum is not None and minimum > 0
+
+
+def old_reduce(polyhedron: Polyhedron) -> Polyhedron:
+    if polyhedron.is_bottom():
+        return polyhedron
+    if polyhedron.is_empty():
+        return Polyhedron.bottom()
+    kept = list(polyhedron.ineqs)
+    index = 0
+    while index < len(kept):
+        rest = Polyhedron(kept[:index] + kept[index + 1:])
+        if old_entails_for_pruning(rest, kept[index]):
+            kept.pop(index)
+        else:
+            index += 1
+    return Polyhedron(kept)
+
+
+class TestIntegerRowOperations:
+    def test_eliminate_matches_affine_arithmetic(self):
+        tags, resolvents = set(), 0
+        for rows, system_tags in systems(300):
+            tags |= system_tags
+            integer_rows = [_integer_row(row) for row in rows]
+            for var in NAMES:
+                expected = old_eliminate(rows, var)
+                got = _eliminate(integer_rows, var)
+                assert got == expected
+                assert [str(r) for r in got] == [str(r) for r in expected]
+                resolvents += len(got)
+        assert {"duplicate", "contradiction"} <= tags
+        assert resolvents > 1000
+
+    def test_reduce_matches_rebuilt_polyhedra(self):
+        seen = set()
+        for rows, _ in systems(300):
+            polyhedron = Polyhedron(rows)
+            expected = old_reduce(polyhedron)
+            reduced = polyhedron.reduce()
+            assert reduced.is_bottom() == expected.is_bottom()
+            assert reduced.ineqs == expected.ineqs
+            if reduced.is_bottom():
+                seen.add("bottom")
+            elif len(reduced.ineqs) == 1:
+                seen.add("single")
+            for row in reduced.ineqs:
+                rest = Polyhedron(r for r in reduced.ineqs if r != row)
+                if (rest.ineqs and not rest.is_empty()
+                        and rest.minimize(row.expr) == 0):
+                    seen.add("tight")
+        assert seen == {"bottom", "single", "tight"}
+
+    def test_reduce_edge_cases(self):
+        assert Polyhedron.bottom().reduce().is_bottom()
+        lone = Polyhedron([LinIneq.geq(X, 3)])
+        assert lone.reduce().ineqs == lone.ineqs
+        # Each of x >= y, y >= x is tight (minimum 0) given the other:
+        # both stay.
+        tight = Polyhedron([LinIneq.geq(X, Y), LinIneq.geq(Y, X)])
+        assert tight.reduce().ineqs == tight.ineqs
+        # A row on a variable no other row mentions is unbounded: kept.
+        free_var = Polyhedron([LinIneq.geq(X, 0), LinIneq.geq(Y, 0)])
+        assert free_var.reduce().ineqs == free_var.ineqs
+
+    @pytest.mark.parametrize("max_constraints", [64, 3])
+    def test_project_out_is_sound(self, max_constraints):
+        rng = random.Random(SYSTEM_SEED + max_constraints)
+        for rows, _ in systems(40, seed=SYSTEM_SEED + max_constraints):
+            polyhedron = Polyhedron(rows)
+            names = sorted(polyhedron.variables)
+            if not names:
+                continue
+            dropped = rng.sample(names, rng.randint(1, len(names)))
+            kept = [name for name in names if name not in dropped]
+            projected = polyhedron.project_out(dropped, max_constraints)
+            assert projected.variables <= set(kept)
+            for values in itertools.product(range(-2, 3), repeat=len(names)):
+                point = dict(zip(names, values))
+                if polyhedron.contains_point(point):
+                    assert projected.contains_point(
+                        {name: point[name] for name in kept}
+                    )

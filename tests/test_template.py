@@ -47,11 +47,6 @@ class TestTemplateArithmetic:
         for mono in template.monomials():
             assert doubled.coefficient(mono) == template.coefficient(mono).scale(2)
 
-    def test_multiply_polynomial(self):
-        template = TemplatePolynomial.from_symbol("c")
-        result = template.multiply_polynomial(X * X + 1)
-        assert set(result.monomials()) == {Monomial.one(), Monomial.of("x", 2)}
-
 
 class TestTemplateSubstitution:
     def test_substitute_shifts_linearly(self):
