@@ -8,7 +8,8 @@ registry of interchangeable backends:
   ``scipy.optimize.linprog`` with the HiGHS method (the stand-in for
   the paper's Gurobi);
 - :class:`RevisedSimplexBackend` (``exact``) — sparse revised simplex
-  over exact rationals (Dantzig pricing, Bland fallback);
+  over exact rationals (Dantzig pricing on integer-scaled columns,
+  Bland fallback);
 - :class:`WarmStartExactBackend` (``exact-warm``) — float warm start
   (HiGHS or the revised simplex over floats) whose candidate basis is
   refactorized and certified — or repaired — in exact arithmetic;
@@ -20,8 +21,8 @@ under the name ``"exact"``.
 
 All sparse exact solvers share one basis kernel
 (:class:`~repro.lp.basis.BasisFactorization`: sparse LU + eta-file
-updates with periodic refactorization) and one dual simplex
-(:mod:`repro.lp.dual`).  :class:`~repro.lp.dual.IncrementalLP` exposes
+updates with periodic refactorization), one pricing kernel for every
+reduced-cost and row sweep, and one dual simplex (:mod:`repro.lp.dual`).  :class:`~repro.lp.dual.IncrementalLP` exposes
 them as an incremental re-solve API — one standardization and (mostly)
 one factorization across many objectives or bound tweaks — used by the
 threshold-refutation loop and the diffcost threshold search.

@@ -279,7 +279,9 @@ class WarmStartExactBackend:
 
     def solve(self, model: LPModel) -> LPSolution:
         """Solve ``model`` exactly; all reported values are Fractions."""
+        start = perf_counter()
         form = standardize(model)
+        standardized = perf_counter() - start
         stats: dict = {"path": None}
         if form.num_rows == 0:
             solution = _no_constraint_solution(model, form)
@@ -292,6 +294,7 @@ class WarmStartExactBackend:
             bland_trigger=self._bland_trigger,
         )
         stats.update(solver.stats)
+        stats["time_setup"] += standardized
         if status is UNBOUNDED:
             message = ("phase-2 unbounded" if stats["path"] == "fallback"
                        else "phase-2 unbounded (warm start)")

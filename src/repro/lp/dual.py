@@ -16,8 +16,10 @@ restarting from scratch throws away a perfectly good factorization:
 :class:`~repro.lp.basis.BasisFactorization` the primal pivots use:
 pick the most-violated basic value (a basic artificial off zero counts
 as violated in either direction — it means ``A x = b`` is not met), a
-dual ratio test over the exact reduced costs chooses the entering
-column, and the shared ``_pivot`` pushes an eta.  Anti-cycling mirrors
+dual ratio test chooses the entering column, and the shared ``_pivot``
+pushes an eta.  The ratio test and :func:`exact_dual_feasible` run on
+the primal pricing kernel (``RevisedSimplex._price``), whose integer
+sweep decides exactly as ``Fraction`` arithmetic.  Anti-cycling mirrors
 the primal solver: after ``bland_trigger`` consecutive degenerate
 steps the leaving rule switches to Bland's smallest-basic-index choice
 (the entering rule always breaks min-ratio ties toward the smallest
@@ -67,39 +69,23 @@ _SOLVER_COUNTERS = (
 #: Phase timers (seconds) propagated the same way; float-valued, so
 #: they fold with a float delta loop rather than the int counter one.
 _SOLVER_TIMERS = (
-    "time_pricing", "time_ratio", "time_update", "time_certify",
-    "time_refactor", "time_ftran", "time_btran", "time_eta",
+    "time_setup", "time_pricing", "time_ratio", "time_update",
+    "time_certify", "time_refactor", "time_ftran", "time_btran",
+    "time_eta",
 )
 
 
 def exact_dual_feasible(solver: RevisedSimplex, costs: list) -> bool:
     """True iff every nonbasic structural column prices out ``>= 0``.
 
-    Exact for ``Fraction`` solvers; float solvers use their pricing
-    tolerance.  A dual feasible basis is a valid dual-simplex start.
+    Exact for ``Fraction`` solvers (the sweep runs on the solver's
+    integer-scaled columns); float solvers use their pricing tolerance.
+    A dual feasible basis is a valid dual-simplex start.
     """
-    cb = [costs[b] for b in solver.basis]
-    y = solver._btran(cb)
+    y = solver.fact.btran([costs[b] for b in solver.basis])
     # The reduced-cost sweep is the rational certification step proper
-    # (the btran above is accounted to time_btran by the kernel).
-    start = perf_counter()
-    try:
-        threshold = -solver.dual_tol
-        for j in range(solver.n):
-            if solver.in_basis[j]:
-                continue
-            reduced = costs[j]
-            for i, a in solver.cols[j].items():
-                yi = y[i]
-                if yi:
-                    reduced = reduced - yi * a
-            if reduced < threshold:
-                return False
-        return True
-    finally:
-        solver.stats["time_certify"] = (
-            solver.stats.get("time_certify", 0.0) + perf_counter() - start
-        )
+    # (the btran above is accounted to time_btran by the factorization).
+    return solver._price(costs, y, first=True, timer="time_certify")[0] < 0
 
 
 def run_dual_simplex(solver: RevisedSimplex, costs: list) -> str:
@@ -121,7 +107,6 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
     solver.phase = 2
     m, n = solver.m, solver.n
     feas, ptol = solver.feas_tol, solver.pivot_tol
-    zero = solver.zero
     bland = False
     degenerate_run = 0
     for _ in range(solver.max_iterations):
@@ -155,44 +140,22 @@ def _dual_simplex_loop(solver: RevisedSimplex, costs: list) -> str:
         rho = solver.fact.btran_unit(leaving)
         if sign < 0:
             rho = [-value for value in rho]
-        cb = [costs[b] for b in solver.basis]
-        y = solver._btran(cb)
+        y = solver.fact.btran([costs[b] for b in solver.basis])
         # Dual ratio test: entering minimizes reduced_cost / -alpha over
         # alpha < 0; smallest index on ties (required for termination
         # under the Bland leaving rule, and deterministic).
-        start = perf_counter()
-        best_j, best_ratio = -1, None
-        for j in range(n):
-            if solver.in_basis[j]:
-                continue
-            col = solver.cols[j]
-            alpha = zero
-            for i, a in col.items():
-                ri = rho[i]
-                if ri:
-                    alpha = alpha + ri * a
-            if alpha >= -ptol:
-                continue
-            reduced = costs[j]
-            for i, a in col.items():
-                yi = y[i]
-                if yi:
-                    reduced = reduced - yi * a
-            ratio = reduced / (-alpha)
-            if best_ratio is None or ratio < best_ratio:
-                best_j, best_ratio = j, ratio
-        solver.stats["time_pricing"] += perf_counter() - start
+        best_j, num, den = solver._price(costs, y, rho)
         if best_j < 0:
             return INFEASIBLE
 
-        w = solver._ftran(solver.cols[best_j])
+        w = solver.fact.ftran(solver.cols[best_j])
         solver._pivot(leaving, best_j, w)
         solver.stats["pivots"] += 1
         solver.stats["dual_pivots"] += 1
         if bland:
             solver.stats["bland_pivots"] += 1
-        degenerate = (best_ratio <= ptol if solver.float_mode
-                      else not best_ratio)
+        degenerate = (num / den <= ptol if solver.float_mode
+                      else not num)
         if degenerate:
             solver.stats["degenerate_pivots"] += 1
             degenerate_run += 1
@@ -242,6 +205,7 @@ class IncrementalLP:
                  max_iterations: int = 200_000, bland_trigger: int = 192,
                  eta_limit: int | None = None):
         self.model = model
+        start = perf_counter()
         self.form = standardize(model)
         self.float_assist = float_assist
         self.max_iterations = max_iterations
@@ -269,6 +233,7 @@ class IncrementalLP:
             self.stats[key] = 0
         for key in _SOLVER_TIMERS:
             self.stats[key] = 0.0
+        self.stats["time_setup"] = perf_counter() - start
 
     # -- objectives --------------------------------------------------------
 

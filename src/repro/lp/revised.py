@@ -15,6 +15,10 @@ degenerate pivots the solver switches to Bland's smallest-index rule
 until the objective strictly improves again.  In exact arithmetic this
 guarantees termination — Bland's rule cannot cycle, and every return to
 Dantzig is preceded by a strict objective decrease, so no basis repeats.
+Exact pricing runs on integer-scaled columns: it takes no gcd, yet picks
+exactly the column ``Fraction`` arithmetic picks.  Its one sweep kernel,
+:meth:`RevisedSimplex._price`, also serves the drive-out of artificials
+and the dual-feasibility and dual ratio tests of :mod:`repro.lp.dual`.
 (Candidate-list partial pricing was tried and reverted: on the long
 degenerate plateaus of these LPs, entering columns picked from a stale
 bank more than doubled the pivot count — global Dantzig pays for
@@ -30,6 +34,7 @@ so primal and dual pivots share one factorization and one eta file.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from time import perf_counter
 
 from repro.errors import LPError
@@ -43,6 +48,7 @@ from repro.lp.model import LPModel
 from repro.lp.solution import LPSolution, LPStatus
 from repro.lp.standard import (
     SparseStandardForm,
+    integer_scaled,
     model_objective_value,
     recover_values,
     standardize,
@@ -82,6 +88,7 @@ class RevisedSimplex:
         self.bland_trigger = bland_trigger
         self.m = form.num_rows
         self.n = form.num_cols
+        start = perf_counter()
 
         if float_mode:
             convert = float
@@ -112,6 +119,14 @@ class RevisedSimplex:
                 for i in col:
                     if i in flip:
                         col[i] = -col[i]
+        # :meth:`_price` sweeps the structural columns as integers,
+        # A_j = scaled_cols[j] / col_scales[j] (float mode: unit scale).
+        self.scaled_cols, self.col_scales = [], []
+        for col in self.cols:
+            values, scale = ((list(col.values()), 1) if float_mode
+                             else integer_scaled(col.values()))
+            self.scaled_cols.append(tuple(zip(col, values)))
+            self.col_scales.append(scale)
         for row in range(self.m):
             self.cols.append({row: self.one})  # artificial e_row
         self.costs = [convert(v) for v in form.costs]
@@ -129,6 +144,7 @@ class RevisedSimplex:
             # btran/eta) these cover disjoint code regions, so their sum
             # is a lower bound on — and in practice most of — the solve
             # wall time.
+            "time_setup": perf_counter() - start,
             "time_pricing": 0.0,
             "time_ratio": 0.0,
             "time_update": 0.0,
@@ -150,41 +166,92 @@ class RevisedSimplex:
         self.xb: list[object] = list(self.b)
         self.phase = 1
 
-    # -- linear algebra kernels ------------------------------------------
+    # -- pricing and pivoting kernels ------------------------------------
 
-    def _ftran(self, col: dict[int, object]) -> list[object]:
-        """``w = B^{-1} a`` for a sparse column ``a``."""
-        return self.fact.ftran(col)
+    def _price(self, costs, y, rho=None, *, first: bool = False,
+               nonzero: bool = False, timer: str = "time_pricing"):
+        """The one column sweep behind every reduced-cost and row test.
 
-    def _btran(self, cb: list[object]) -> list[object]:
-        """``y = B^{-T} cb`` for the basic cost vector ``cb``."""
-        return self.fact.btran(cb)
+        Sweeps the nonbasic structural columns in index order and
+        returns ``(j, num, den)`` for the chosen column, or
+        ``(-1, None, None)`` when no column qualifies:
 
-    def _price(self, costs: list[object], y: list[object],
-               bland: bool) -> int:
-        """Entering column (structural only), or -1 if dual feasible."""
+        - pricing (``rho`` is ``None``): ``j`` qualifies when its
+          reduced cost ``c_j - y·A_j`` is negative (below ``-dual_tol``
+          in float mode).  Dantzig picks the most negative one;
+          ``first`` picks the smallest qualifying index (Bland's rule,
+          and the dual-feasibility test).
+        - the dual ratio test (``rho`` given): ``j`` qualifies when
+          ``α_j = ρ·A_j`` is negative (below ``-pivot_tol``), and the
+          choice minimizes ``(c_j - y·A_j) / -α_j``.  With ``y`` and
+          ``costs`` ``None`` and ``nonzero``, any ``α_j != 0``
+          qualifies: with ``first`` this is the drive-out of
+          artificials.
+
+        Ties go to the smallest index.  The choice minimizes
+        ``num / den``, where ``num`` is the reduced cost and ``den`` is
+        1 (pricing) or ``-α_j`` (ratio test), each times a positive
+        factor that changes no sign and no order.
+
+        In exact mode the sweep runs on Python ints, not ``Fraction``s:
+        column ``j`` is kept once as ``scaled_cols[j] / L_j`` with
+        ``L_j = col_scales[j]``, and ``y`` together with the nonzero
+        costs is put over one common denominator ``D`` (``ρ`` over its
+        own, ``D_ρ``).  Then ``num = D·L_j·(c_j - y·A_j)`` and ``den`` is
+        ``L_j`` or ``-D_ρ·L_j·α_j``; the ``D`` factors cancel between
+        columns, and candidates compare by cross-multiplication.  No
+        gcd is taken inside the sweep, and the chosen column is exactly
+        the one ``Fraction`` arithmetic picks, so pivots and bases do
+        not change.  Float mode runs the same loop at unit scale, in
+        the same order of operations as a plain float sweep, with its
+        tolerances.
+        """
         start = perf_counter()
+        n, in_basis = self.n, self.in_basis
+        cols, scales = self.scaled_cols, self.col_scales
+        threshold, ptol = -self.dual_tol, self.pivot_tol
+        base, ys, rows = costs, y, rho
+        if not self.float_mode:
+            if y is not None:
+                priced = list(compress(range(n), costs))
+                ys, _ = integer_scaled(y + [costs[j] for j in priced])
+                base = [0] * n
+                for j, scaled_cost in zip(priced, ys[self.m:]):
+                    base[j] = scaled_cost * scales[j]
+            if rho is not None:
+                rows, _ = integer_scaled(rho)
+        best, best_num, best_den = -1, None, None
         try:
-            best_j = -1
-            best_reduced = None
-            in_basis = self.in_basis
-            threshold = -self.dual_tol
-            for j in range(self.n):
+            for j in range(n):
                 if in_basis[j]:
                     continue
-                reduced = costs[j]
-                for i, a in self.cols[j].items():
-                    yi = y[i]
-                    if yi:
-                        reduced = reduced - yi * a
-                if reduced < threshold:
-                    if bland:
-                        return j  # smallest improving index
-                    if best_reduced is None or reduced < best_reduced:
-                        best_j, best_reduced = j, reduced
-            return best_j
+                col = cols[j]
+                if rows is None:
+                    den = scales[j]
+                else:
+                    den = 0
+                    for i, a in col:
+                        v = rows[i]
+                        if v:
+                            den -= v * a
+                    if not (den > ptol or (nonzero and den < -ptol)):
+                        continue
+                num = 0
+                if ys is not None:
+                    num = base[j]
+                    for i, a in col:
+                        v = ys[i]
+                        if v:
+                            num -= v * a
+                    if rows is None and not num < threshold:
+                        continue
+                if first:
+                    return j, num, den
+                if best < 0 or num * best_den < best_num * den:
+                    best, best_num, best_den = j, num, den
+            return best, best_num, best_den
         finally:
-            self.stats["time_pricing"] += perf_counter() - start
+            self.stats[timer] += perf_counter() - start
 
     def _ratio_test(self, w: list[object]) -> int:
         """Leaving row for the entering direction ``w``; -1 = unbounded.
@@ -253,10 +320,6 @@ class RevisedSimplex:
         self.xb = self.fact.ftran_dense(self.b)
         return True
 
-    def _ftran_dense(self, vec: list[object]) -> list[object]:
-        """``B^{-1} v`` for a dense vector ``v``."""
-        return self.fact.ftran_dense(vec)
-
     # -- simplex driver ---------------------------------------------------
 
     @exact_method("lp-phase")
@@ -271,12 +334,11 @@ class RevisedSimplex:
         for _ in range(self.max_iterations):
             if pivot_budget is not None and spent >= pivot_budget:
                 return PIVOT_LIMIT
-            cb = [costs[b] for b in self.basis]
-            y = self._btran(cb)
-            entering = self._price(costs, y, bland)
+            y = self.fact.btran([costs[b] for b in self.basis])
+            entering = self._price(costs, y, first=bland)[0]
             if entering < 0:
                 return OPTIMAL
-            w = self._ftran(self.cols[entering])
+            w = self.fact.ftran(self.cols[entering])
             leaving = self._ratio_test(w)
             if leaving < 0:
                 return UNBOUNDED
@@ -305,23 +367,11 @@ class RevisedSimplex:
         for row in range(self.m):
             if self.basis[row] < self.n:
                 continue
-            binv_row = self.fact.btran_unit(row)
-            start = perf_counter()
-            replacement = -1
-            for j in range(self.n):
-                if self.in_basis[j]:
-                    continue
-                value = self.zero
-                for i, a in self.cols[j].items():
-                    ri = binv_row[i]
-                    if ri:
-                        value = value + ri * a
-                if value > self.pivot_tol or value < -self.pivot_tol:
-                    replacement = j
-                    break
-            self.stats["time_pricing"] += perf_counter() - start
+            replacement = self._price(None, None, self.fact.btran_unit(row),
+                                      first=True, nonzero=True)[0]
             if replacement >= 0:
-                self._pivot(row, replacement, self._ftran(self.cols[replacement]))
+                self._pivot(row, replacement,
+                            self.fact.ftran(self.cols[replacement]))
 
     def phase2_costs(self) -> list[object]:
         return self.costs + [self.zero] * self.m
@@ -404,13 +454,16 @@ class RevisedSimplexBackend:
 
     def solve(self, model: LPModel) -> LPSolution:
         """Solve ``model`` exactly; all reported values are Fractions."""
+        start = perf_counter()
         form = standardize(model)
+        standardized = perf_counter() - start
         if form.num_rows == 0:
             return _no_constraint_solution(model, form)
         solver = RevisedSimplex(
             form, max_iterations=self._max_iterations,
             bland_trigger=self._bland_trigger,
         )
+        solver.stats["time_setup"] += standardized
         status = solver.solve_two_phase()
         if status is INFEASIBLE:
             return LPSolution(LPStatus.INFEASIBLE,

@@ -26,6 +26,7 @@ assignment back to the original model variables.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from repro.errors import LPError
 from repro.lp.model import EQ, GE, LPModel
@@ -190,3 +191,13 @@ def model_objective_value(model: LPModel,
     if model.objective is None:
         return None
     return model.objective.expr.evaluate(values)
+
+
+def integer_scaled(values) -> tuple[list[int], int]:
+    """``(numerators, scale)`` with ``values[i] == numerators[i] / scale``
+    and ``scale`` the least common denominator of the rationals
+    ``values``."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = lcm(*[denominator for _, denominator in ratios])
+    return [numerator * (scale // denominator)
+            for numerator, denominator in ratios], scale
