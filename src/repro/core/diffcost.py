@@ -83,6 +83,24 @@ def _unpack(program: ProgramLike) -> tuple[TransitionSystem, dict]:
     )
 
 
+def program_invariants(system: TransitionSystem, hints: dict,
+                       config: AnalysisConfig) -> InvariantMap:
+    """The affine invariant map of one program under ``config``.
+
+    Only the widening knobs (``widening_delay``, ``narrowing_passes``)
+    and the program itself (its system plus ``invariant(...)`` hints)
+    determine the map: template degree, Handelman ``K`` and the LP
+    backend do not, which is what lets every rung of a portfolio share
+    one map per program (:func:`repro.engine.jobs.run_job`).
+    """
+    return generate_invariants(
+        system,
+        hints=hints,
+        widening_delay=config.widening_delay,
+        narrowing_passes=config.narrowing_passes,
+    )
+
+
 class DiffCostAnalyzer:
     """Synthesizes a differential threshold for a program pair.
 
@@ -105,21 +123,16 @@ class DiffCostAnalyzer:
     # -- pipeline pieces -------------------------------------------------
 
     def invariants(self) -> tuple[InvariantMap, InvariantMap]:
-        """Compute (and cache) the invariant maps of both versions."""
+        """Compute (and cache) the invariant maps of both versions that
+        were not supplied to the constructor."""
         with self.stopwatch.phase("invariants"):
             if self._old_invariants is None:
-                self._old_invariants = generate_invariants(
-                    self.old_system,
-                    hints=self._old_hints,
-                    widening_delay=self.config.widening_delay,
-                    narrowing_passes=self.config.narrowing_passes,
+                self._old_invariants = program_invariants(
+                    self.old_system, self._old_hints, self.config
                 )
             if self._new_invariants is None:
-                self._new_invariants = generate_invariants(
-                    self.new_system,
-                    hints=self._new_hints,
-                    widening_delay=self.config.widening_delay,
-                    narrowing_passes=self.config.narrowing_passes,
+                self._new_invariants = program_invariants(
+                    self.new_system, self._new_hints, self.config
                 )
         return self._old_invariants, self._new_invariants
 
@@ -218,7 +231,10 @@ class DiffCostAnalyzer:
             return result
 
         result.status = AnalysisStatus.THRESHOLD
-        result.threshold = solution.value(THRESHOLD_SYMBOL)
+        threshold = solution.value(THRESHOLD_SYMBOL)
+        if isinstance(threshold, float):
+            threshold += 0.0  # a float LP's -0.0 optimum reports as 0.0
+        result.threshold = threshold
         result.potential_new = extract_certificate(
             new_templates, solution, POTENTIAL
         )
@@ -331,6 +347,11 @@ def extract_certificate(templates: TemplateSet, solution: LPSolution,
 
 
 def analyze_diffcost(old: ProgramLike, new: ProgramLike,
-                     config: AnalysisConfig | None = None) -> DiffCostResult:
-    """One-call convenience wrapper around :class:`DiffCostAnalyzer`."""
-    return DiffCostAnalyzer(old, new, config).compute_threshold()
+                     config: AnalysisConfig | None = None,
+                     old_invariants: InvariantMap | None = None,
+                     new_invariants: InvariantMap | None = None,
+                     ) -> DiffCostResult:
+    """One-call convenience wrapper around :class:`DiffCostAnalyzer`
+    (precomputed invariant maps are used as given)."""
+    return DiffCostAnalyzer(old, new, config, old_invariants,
+                            new_invariants).compute_threshold()

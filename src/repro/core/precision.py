@@ -21,11 +21,16 @@ from repro.core.constraints import (
     collect_certificate_constraints,
     differential_constraint,
 )
-from repro.core.diffcost import ProgramLike, _unpack, extract_certificate
+from repro.core.diffcost import (
+    ProgramLike,
+    _unpack,
+    extract_certificate,
+    program_invariants,
+)
 from repro.core.potentials import ANTI_POTENTIAL, POTENTIAL
 from repro.core.results import AnalysisStatus, SingleProgramResult
 from repro.handelman.encode import encode_implication
-from repro.invariants.generator import InvariantMap, generate_invariants
+from repro.invariants.generator import InvariantMap
 from repro.lp.backend import get_backend
 from repro.lp.model import LPModel
 from repro.lp.solution import LPStatus
@@ -44,12 +49,7 @@ def analyze_single_program(program: ProgramLike,
     config = config or DEFAULT_CONFIG
     system, hints = _unpack(program)
     if invariants is None:
-        invariants = generate_invariants(
-            system,
-            hints=hints,
-            widening_delay=config.widening_delay,
-            narrowing_passes=config.narrowing_passes,
-        )
+        invariants = program_invariants(system, hints, config)
 
     fresh = FreshNameGenerator()
     upper_templates = TemplateSet.build(system, config.degree, prefix="ub")

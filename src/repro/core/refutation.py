@@ -44,6 +44,7 @@ from repro.core.diffcost import DiffCostAnalyzer, ProgramLike, extract_certifica
 from repro.core.potentials import ANTI_POTENTIAL, POTENTIAL
 from repro.core.results import AnalysisStatus, RefutationResult
 from repro.handelman.encode import encode_implication
+from repro.invariants.generator import InvariantMap
 from repro.invariants.polyhedron import Polyhedron
 from repro.lp.backend import backend_is_exact, get_backend
 from repro.lp.dual import IncrementalLP
@@ -129,13 +130,17 @@ def refute_threshold(old: ProgramLike, new: ProgramLike,
                      candidate: Numeric,
                      config: AnalysisConfig | None = None,
                      witnesses: Iterable[dict[str, int]] | None = None,
+                     old_invariants: InvariantMap | None = None,
+                     new_invariants: InvariantMap | None = None,
                      ) -> RefutationResult:
     """Try to prove that ``candidate`` is *not* a valid threshold.
 
     Sound for nondeterministic programs; complete only for deterministic
-    ones (paper discussion after Theorem 4.3).
+    ones (paper discussion after Theorem 4.3).  Precomputed invariant
+    maps are used as given.
     """
-    analyzer = DiffCostAnalyzer(old, new, config)
+    analyzer = DiffCostAnalyzer(old, new, config, old_invariants,
+                                new_invariants)
     old_invariants, new_invariants = analyzer.invariants()
     theta0 = Polyhedron(analyzer.combined_theta0())
     if witnesses is None:

@@ -21,6 +21,7 @@ from repro.core.diffcost import (
 from repro.core.potentials import ANTI_POTENTIAL, POTENTIAL
 from repro.core.results import AnalysisStatus, BoundProofResult
 from repro.errors import AnalysisError
+from repro.invariants.generator import InvariantMap
 from repro.lp.solution import LPStatus
 from repro.poly.polynomial import Polynomial
 from repro.poly.template import TemplatePolynomial
@@ -28,15 +29,20 @@ from repro.poly.template import TemplatePolynomial
 
 def prove_symbolic_bound(old: ProgramLike, new: ProgramLike,
                          bound: Polynomial,
-                         config: AnalysisConfig | None = None) -> BoundProofResult:
+                         config: AnalysisConfig | None = None,
+                         old_invariants: InvariantMap | None = None,
+                         new_invariants: InvariantMap | None = None,
+                         ) -> BoundProofResult:
     """Attempt to prove ``cost_new − cost_old ≤ bound(x)`` for all
     inputs in Θ0.
 
     The template degree must be at least ``bound``'s degree (the paper's
     requirement d ≥ deg p); a too-small configured degree is raised as
-    an error rather than silently failing.
+    an error rather than silently failing.  Precomputed invariant maps
+    are used as given.
     """
-    analyzer = DiffCostAnalyzer(old, new, config)
+    analyzer = DiffCostAnalyzer(old, new, config, old_invariants,
+                                new_invariants)
     if bound.degree > analyzer.config.degree:
         raise AnalysisError(
             f"template degree {analyzer.config.degree} is smaller than the "

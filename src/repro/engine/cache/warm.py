@@ -36,7 +36,10 @@ garbage dropped — into a temp file published with an atomic
 (modelled by the ``cache.torn_write`` fault site with ``name
 "compact"``) leaves the old log byte-for-byte intact: a verified entry
 can never be lost to a dying compactor.  Readers notice the publish by
-inode/size change and reload.
+inode/size change and reload.  Each store keeps the log it indexed
+open: a file's inode number is only recycled once the file is unlinked
+*and* closed, so a later publish can never reuse the number the store
+compares against and pass for the log it already knows.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import os
 import tempfile
 import time
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, BinaryIO, Iterator
 
 from repro.faults import fault_point
 from repro.obs import get_logger, get_registry
@@ -128,6 +131,9 @@ class WarmStore:
         self.index: dict[str, tuple[int, int, float]] = {}
         self._scanned_bytes = 0
         self._inode: int | None = None
+        #: The log :attr:`index` describes, held open (see the module
+        #: docstring) so :attr:`_inode` cannot be recycled under us.
+        self._pinned: BinaryIO | None = None
         self._open_or_create()
 
     # -- locking -----------------------------------------------------------
@@ -144,6 +150,15 @@ class WarmStore:
 
     # -- startup / resync --------------------------------------------------
 
+    def _pin(self, handle: BinaryIO | None) -> None:
+        """Hold ``handle`` (the log about to be indexed) open in place
+        of the previous one and record its inode."""
+        if self._pinned is not None:
+            self._pinned.close()
+        self._pinned = handle
+        self._inode = (None if handle is None
+                       else os.fstat(handle.fileno()).st_ino)
+
     def _open_or_create(self) -> None:
         if not self.log_path.exists():
             with self._locked():
@@ -156,9 +171,9 @@ class WarmStore:
         if it covers this generation, then whatever tail it missed."""
         self.index = {}
         self._scanned_bytes = 0
-        with open(self.log_path, "rb") as handle:
-            self._inode = os.fstat(handle.fileno()).st_ino
-            header_raw = handle.readline()
+        handle = open(self.log_path, "rb")
+        self._pin(handle)
+        header_raw = handle.readline()
         if not header_raw.endswith(b"\n"):
             # A writer is mid-create; treat as empty until it lands.
             self.generation = 1
@@ -395,9 +410,9 @@ class WarmStore:
         self.index = index
         self._scanned_bytes = len(payload)
         try:
-            self._inode = self.log_path.stat().st_ino
+            self._pin(open(self.log_path, "rb"))
         except OSError:
-            self._inode = None
+            self._pin(None)
         self.write_sidecar()
 
     def write_sidecar(self) -> None:

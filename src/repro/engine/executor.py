@@ -29,6 +29,7 @@ order, which keeps ``--jobs N`` output deterministic.
 from __future__ import annotations
 
 import signal
+import sys
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -184,6 +185,14 @@ def execute_job(job: AnalysisJob, timeout: float | None = None,
     return result
 
 
+#: Once the budget expires the alarm re-fires at this period until the
+#: job has unwound.  When the signal lands during a garbage collection,
+#: its handler runs inside a ``gc.callbacks`` hook, where Python drops
+#: the raised exception; a one-shot alarm lost that way would let the
+#: job run unbounded.
+ALARM_REFIRE_S = 0.05
+
+
 def _run_with_alarm(job: AnalysisJob, timeout: float) -> JobResult:
     """Run with a ``SIGALRM`` interval timer when the platform allows.
 
@@ -196,16 +205,17 @@ def _run_with_alarm(job: AnalysisJob, timeout: float) -> JobResult:
     armed = True
 
     def _on_alarm(signum, frame):
-        if armed:
+        # Not after completion (a late alarm while the result is being
+        # returned must not discard it), and not while a timeout is
+        # already unwinding through cleanup code (a re-fire).
+        if armed and not isinstance(sys.exc_info()[1], JobTimeoutError):
             raise JobTimeoutError()
-        # A late alarm that fired while the completed result was being
-        # returned: swallow it instead of discarding the result.
 
     try:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
     except (AttributeError, ValueError):
         return run_job(job)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
+    signal.setitimer(signal.ITIMER_REAL, timeout, ALARM_REFIRE_S)
     try:
         result = run_job(job)
         armed = False

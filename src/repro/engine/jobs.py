@@ -11,6 +11,12 @@ the job's outcome).  Two jobs with the same key are guaranteed to
 produce the same result, which is what makes the on-disk result cache
 and cross-run deduplication sound.  Presentation-only attributes (the
 display ``name``) are excluded from the key.
+
+:func:`run_job` also keeps an in-process, content-keyed memo of
+invariant maps: every rung of a portfolio and its refutation probe
+analyze the same two programs with the same widening knobs, so each
+program's invariants are generated once per process and shared by
+every job that needs them.
 """
 
 from __future__ import annotations
@@ -18,13 +24,18 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.config import AnalysisConfig
 from repro.errors import AnalysisError
 from repro.lp.backend import LP_SOLVER_REVISION
+
+if TYPE_CHECKING:
+    from repro.invariants.generator import InvariantMap
+    from repro.lang import LoweredProgram
 
 #: Bump when the meaning of a job (or the result schema) changes, so
 #: stale cache entries are never replayed across incompatible versions.
@@ -230,6 +241,66 @@ def _config_summary(config: AnalysisConfig) -> dict[str, Any]:
     }
 
 
+#: Most invariant maps the memo keeps per process, least recently used
+#: evicted first.  A portfolio pair needs two; the cap covers a
+#: worker's share of a large batch without growing with a long-lived
+#: server's whole history.
+INVARIANT_MEMO_SIZE = 64
+
+#: (program text, widening_delay, narrowing_passes) -> the program's
+#: ``Location -> Polyhedron`` map.  ``Polyhedron`` is immutable, so a
+#: stored dict is shared read-only by every job that reuses it.  Jobs
+#: of one process run on one thread (inline, a pool worker's main
+#: thread, or the server's engine thread), so the memo takes no lock.
+_INVARIANT_MEMO: OrderedDict[tuple[str, int, int], dict] = OrderedDict()
+
+
+def clear_invariant_memo() -> None:
+    """Forget every memoised invariant map of this process."""
+    _INVARIANT_MEMO.clear()  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
+
+
+def _invariant_key(text: str, config: AnalysisConfig) -> tuple[str, int, int]:
+    # The source text carries the frontend's invariant(...) hints; the
+    # widening knobs are the only config fields invariants depend on.
+    return (text, config.widening_delay, config.narrowing_passes)
+
+
+def _count_invariant_maps(outcome: str) -> None:
+    from repro.obs import get_registry
+
+    get_registry().counter(
+        "repro_invariant_maps_total",
+        "Program invariant maps computed or reused from the memo.",
+        ("outcome",),
+    ).inc(outcome=outcome)
+
+
+def _recall(text: str, program: LoweredProgram,
+            config: AnalysisConfig) -> InvariantMap | None:
+    """The memoised invariant map of ``program`` (loaded from
+    ``text``), wrapped for its own transition system, or ``None``."""
+    from repro.invariants.generator import InvariantMap
+
+    key = _invariant_key(text, config)
+    stored = _INVARIANT_MEMO.get(key)
+    if stored is None:
+        return None
+    _INVARIANT_MEMO.move_to_end(key)
+    _count_invariant_maps("reused")
+    return InvariantMap(program.system, stored)
+
+
+def _remember(text: str, config: AnalysisConfig,
+              invariant_map: InvariantMap) -> None:
+    """Store a freshly generated map.  Called only once generation has
+    returned: a job that raises or times out inside it stores nothing."""
+    _INVARIANT_MEMO[_invariant_key(text, config)] = invariant_map.invariants  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
+    _count_invariant_maps("computed")
+    while len(_INVARIANT_MEMO) > INVARIANT_MEMO_SIZE:
+        _INVARIANT_MEMO.popitem(last=False)  # lint: allow[mutable-global-write] pure memo cache; worker divergence is perf-only
+
+
 def run_job(job: AnalysisJob) -> JobResult:
     """Execute ``job`` in-process and return its structured result.
 
@@ -238,17 +309,19 @@ def run_job(job: AnalysisJob) -> JobResult:
     (the executor turns them into structured ``"error"`` results).
     """
     from repro.core import (
-        analyze_diffcost,
+        DiffCostAnalyzer,
         analyze_single_program,
         prove_symbolic_bound,
         refute_threshold,
     )
-    from repro.lang import load_program
+    from repro.core.diffcost import program_invariants
+    from repro.lang import load_program, read_source
     from repro.obs import span
     from repro.poly import parse_polynomial
 
     start = time.perf_counter()
-    old = load_program(job.old_source, name=f"{job.name or 'job'}_old")
+    old_text = read_source(job.old_source)
+    old = load_program(old_text, name=f"{job.name or 'job'}_old")
     result = JobResult(
         job_key=job.key,
         name=job.name,
@@ -261,28 +334,51 @@ def run_job(job: AnalysisJob) -> JobResult:
               args={"job_key": job.key, "name": job.name,
                     "degree": job.config.degree}):
         if job.kind == "single":
-            analysis = analyze_single_program(old, job.config)
+            invariants = _recall(old_text, old, job.config)
+            if invariants is None:
+                invariants = program_invariants(
+                    old.system, dict(old.invariant_hints), job.config)
+                _remember(old_text, job.config, invariants)
+            analysis = analyze_single_program(old, job.config,
+                                              invariants=invariants)
             threshold = analysis.precision
         else:
-            new = load_program(job.new_source,
-                               name=f"{job.name or 'job'}_new")
+            new_text = read_source(job.new_source)
+            new = load_program(new_text, name=f"{job.name or 'job'}_new")
+            texts = (old_text, new_text)
+            recalled = (_recall(old_text, old, job.config),
+                        _recall(new_text, new, job.config))
+            # The analyzer generates the missing maps in its own
+            # invariants stage, so its timings still account for them.
+            analyzer = DiffCostAnalyzer(old, new, job.config, *recalled)
+            maps = analyzer.invariants()
+            for text, known, invariant_map in zip(texts, recalled, maps):
+                if known is None:
+                    _remember(text, job.config, invariant_map)
+            old_invariants, new_invariants = maps
             if job.kind == "diff":
-                analysis = analyze_diffcost(old, new, job.config)
+                analysis = analyzer.compute_threshold()
                 threshold = analysis.threshold
             elif job.kind == "bound":
                 analysis = prove_symbolic_bound(
-                    old, new, parse_polynomial(job.bound), job.config
+                    old, new, parse_polynomial(job.bound), job.config,
+                    old_invariants=old_invariants,
+                    new_invariants=new_invariants,
                 )
                 threshold = None
             else:  # refute
-                analysis = refute_threshold(old, new, job.candidate,
-                                            job.config)
+                analysis = refute_threshold(
+                    old, new, job.candidate, job.config,
+                    old_invariants=old_invariants,
+                    new_invariants=new_invariants,
+                )
                 threshold = analysis.guaranteed_difference
 
     result.outcome = analysis.status.value
     result.message = analysis.message
     if threshold is not None:
-        result.threshold = float(threshold)
+        # + 0.0 turns a float LP's -0.0 into 0.0 (exact values unchanged).
+        result.threshold = float(threshold) + 0.0
         if isinstance(threshold, Fraction):
             result.threshold_str = str(threshold)
     result.timings = dict(getattr(analysis, "timings", {}) or {})

@@ -26,6 +26,13 @@ refuted probe certifies the threshold tight to within ``margin``
 probe solves one LP per witness over one shared constraint system —
 exactly the shape `~repro.lp.dual.IncrementalLP` re-solves from a
 single factorized basis, which is what keeps this stage affordable.
+
+Rungs differ only in template degree, Handelman ``K`` and LP backend,
+none of which the affine invariants depend on, so every rung and the
+probe share one invariant map per program: the first job of a pair to
+run in a process generates the old and new maps and every later one
+reuses them (the content-keyed memo in :func:`repro.engine.jobs.run_job`).
+Pool workers each keep their own memo.
 """
 
 from __future__ import annotations

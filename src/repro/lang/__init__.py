@@ -26,16 +26,23 @@ from repro.lang.lower import LoweredProgram, lower_program
 from repro.lang.typecheck import check_program
 
 
+def read_source(source: str) -> str:
+    """The program text ``source`` stands for: the file's contents for
+    a path ending in ``.imp``, the text itself otherwise."""
+    if source.endswith(".imp") and "\n" not in source:
+        with open(source) as handle:
+            return handle.read()
+    return source
+
+
 def load_program(source: str, name: str | None = None) -> LoweredProgram:
     """Parse, check and lower an `imp` program in one call.
 
-    ``source`` may be program text or a path ending in ``.imp``.
-    ``name`` overrides the procedure name as the system name.
+    ``source`` may be program text or a path ending in ``.imp``
+    (see :func:`read_source`).  ``name`` overrides the procedure name
+    as the system name.
     """
-    if source.endswith(".imp") and "\n" not in source:
-        with open(source) as handle:
-            source = handle.read()
-    program = parse_program(source)
+    program = parse_program(read_source(source))
     check_program(program)
     return lower_program(program, name=name)
 
@@ -49,4 +56,5 @@ __all__ = [
     "LoweredProgram",
     "lower_program",
     "load_program",
+    "read_source",
 ]

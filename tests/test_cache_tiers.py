@@ -185,6 +185,28 @@ class TestWarmStore:
         for index, key in enumerate(keys):
             assert reader.get(key).threshold == float(index)
 
+    def test_republished_log_never_passes_for_the_indexed_one(
+            self, tmp_path):
+        """Stores notice a republished log by its inode number.  A
+        freed inode number is recycled by the next file the filesystem
+        creates, so without the indexed log held open a second
+        compaction could publish under the reader's old number and the
+        reader would keep serving offsets into bytes that moved."""
+        writer = ResultCache(tmp_path / "cache", backend="warm")
+        reader = ResultCache(tmp_path / "cache", backend="warm")
+        keys = fill(writer, 3)
+        # Each compaction frees one inode and takes two (log + sidecar
+        # temp files); try several gaps so some filesystem's recycling
+        # period is hit.
+        for compactions in range(1, 7):
+            reader.warm.resync()
+            for _ in range(compactions):
+                writer.compact()
+            reader.warm.resync()
+            assert reader.warm.generation == writer.warm.generation
+            for index, key in enumerate(keys):
+                assert reader.get(key).threshold == float(index)
+
     def test_eviction_is_age_bounded(self, tmp_path):
         cache = ResultCache(tmp_path / "cache", backend="warm")
         now = time.time()

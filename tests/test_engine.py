@@ -553,3 +553,54 @@ class TestBatchCLI:
 
         assert main(["batch", str(tmp_path / "nope")]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestNoNegativeZero:
+    """A float LP may return the optimum ``-0.0``; reports print 0.0."""
+
+    @pytest.mark.parametrize("name", ["ddec_modified", "sum"])
+    def test_zero_threshold_is_positive_zero(self, name):
+        import math
+
+        from repro.bench.suite import pair_sources
+        from repro.engine.jobs import run_job
+
+        old_source, new_source = pair_sources(name)
+        result = run_job(AnalysisJob(kind="diff", old_source=old_source,
+                                     new_source=new_source,
+                                     config=AnalysisConfig(), name=name))
+        assert result.status == "ok"
+        assert result.threshold == 0.0
+        assert math.copysign(1.0, result.threshold) == 1.0
+        assert math.copysign(1.0, result.analysis.threshold) == 1.0
+        assert "-0.0" not in json.dumps(result.to_dict())
+
+
+class TestLostAlarm:
+    def test_timeout_survives_a_swallowed_alarm(self, monkeypatch):
+        """Python drops an exception raised inside a ``gc.callbacks``
+        hook, which is where the alarm handler runs when the signal
+        lands mid-collection.  The budget must still be enforced."""
+        import time
+
+        import repro.core.diffcost
+        from repro.engine.executor import JobTimeoutError, execute_job
+        from repro.engine.jobs import clear_invariant_memo
+
+        original = repro.core.diffcost.generate_invariants
+
+        def swallows_first_alarm(*args, **kwargs):
+            try:
+                time.sleep(5)
+            except JobTimeoutError:
+                pass  # the lost first alarm
+            time.sleep(5)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.core.diffcost, "generate_invariants",
+                            swallows_first_alarm)
+        clear_invariant_memo()
+        start = time.perf_counter()
+        result = execute_job(make_job(), timeout=0.05)
+        assert result.status == "timeout"
+        assert time.perf_counter() - start < 2.0
